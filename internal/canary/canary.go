@@ -234,7 +234,7 @@ func (c *Canary) record(p *ir.Prog) ([]trace.Event, error) {
 	if rec.Err() != nil {
 		return nil, fmt.Errorf("record: %w", rec.Err())
 	}
-	return trace.ReadAll(&buf)
+	return trace.Decode(buf.Bytes())
 }
 
 // artifactMeta is the JSON schema of the persisted repro description.

@@ -114,7 +114,7 @@ func (c *campaign) record(p *ir.Prog) ([]trace.Event, error) {
 	if rec.Err() != nil {
 		return nil, fmt.Errorf("fuzz: record: %w", rec.Err())
 	}
-	return trace.ReadAll(&buf)
+	return trace.Decode(buf.Bytes())
 }
 
 // replayClass replays events under an anchored GiantSan runtime and

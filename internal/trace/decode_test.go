@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,50 +11,75 @@ import (
 	"giantsan/internal/rt"
 )
 
+// streamAll decodes data with the streaming Reader.Next loop.
+func streamAll(data []byte) ([]Event, error) {
+	tr := NewReader(bytes.NewReader(data))
+	var out []Event
+	for {
+		ev, err := tr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
+	}
+}
+
+// malformedCase is a stream every decoder must reject, with substrings
+// its error must contain.
+type malformedCase struct {
+	name string
+	data []byte
+	want []string
+}
+
+// malformedCases builds the rejected streams from a two-event trace:
+// event 1 (Malloc) is 13 bytes at offset 4, event 2 (Access) 15 bytes at
+// offset 17.
+func malformedCases(t testing.TB) []malformedCase {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	r1, _ := w.Malloc(64)
+	w.Access(r1, 0, 8, true)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	badType := append([]byte{}, data...)
+	badType[len(badType)-1] = 7 // event 2's access-type byte
+	return []malformedCase{
+		{"truncated operand", data[:19], []string{"event 2", "byte offset 17", "truncated after 2 bytes"}},
+		{"unknown opcode", append(append([]byte{}, data...), 0xEE),
+			[]string{"event 3", fmt.Sprintf("byte offset %d", len(data)), "unknown opcode 238"}},
+		{"truncated magic", []byte("GS"), []string{"truncated magic (2 of 4"}},
+		{"empty stream", nil, []string{"trace: truncated magic (0 of 4 header bytes)"}},
+		{"access type", badType, []string{"trace: event 2 (byte offset 17): opcode 3: access type 7"}},
+	}
+}
+
 // TestDecodeErrorsCarryOffsetAndIndex: decode failures must name the
 // 1-based event ordinal and the byte offset where the broken event
 // starts, so shrinker validity checks and service replay 400s point at
-// the exact spot in the stream.
+// the exact spot in the stream. The streaming and in-memory decoders
+// must fail identically.
 func TestDecodeErrorsCarryOffsetAndIndex(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	r1, _ := w.Malloc(64) // event 1: 1 + 4 + 8 = 13 bytes at offset 4
-	w.Access(r1, 0, 8, true)
-	w.Flush()
-	data := buf.Bytes()
-
-	// Truncate inside event 2's operands. Event 2 starts at offset 17.
-	tr := NewReader(bytes.NewReader(data[:19]))
-	if _, err := tr.Next(); err != nil {
-		t.Fatalf("event 1: %v", err)
-	}
-	_, err := tr.Next()
-	if err == nil {
-		t.Fatal("truncated event decoded")
-	}
-	for _, want := range []string{"event 2", "byte offset 17", "truncated"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	for _, c := range malformedCases(t) {
+		_, err := streamAll(c.data)
+		if err == nil {
+			t.Errorf("%s: Reader.Next accepted the stream", c.name)
+			continue
 		}
-	}
-
-	// Unknown opcode appended after the two good events.
-	bad := append(append([]byte{}, data...), 0xEE)
-	tr = NewReader(bytes.NewReader(bad))
-	tr.Next()
-	tr.Next()
-	_, err = tr.Next()
-	wantOff := fmt.Sprintf("byte offset %d", len(data))
-	for _, want := range []string{"event 3", wantOff, "unknown opcode 238"} {
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("error %v missing %q", err, want)
+		for _, want := range c.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q missing %q", c.name, err, want)
+			}
 		}
-	}
-
-	// Truncated magic reports how much of the header arrived.
-	tr = NewReader(strings.NewReader("GS"))
-	if _, err := tr.Next(); err == nil || !strings.Contains(err.Error(), "truncated magic (2 of 4") {
-		t.Errorf("truncated magic error = %v", err)
+		if _, derr := Decode(c.data); derr == nil || derr.Error() != err.Error() {
+			t.Errorf("%s: Decode error %v, Reader.Next error %v", c.name, derr, err)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ var metamorphicKernels = []string{
 
 // recordKernel runs kernel w under a recording GiantSan runtime and
 // returns the serialized trace.
-func recordKernel(t *testing.T, w *workload.Workload) []byte {
+func recordKernel(t testing.TB, w *workload.Workload) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := NewWriter(&buf)

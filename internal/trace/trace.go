@@ -6,10 +6,16 @@
 // under a future encoding) with byte-identical layouts, and serve as the
 // regression corpus format for the detection suites.
 //
-// The encoding is a dense little-endian binary stream: one opcode byte
-// followed by fixed-width operands. Pointers are virtual register indices
-// (the recorder assigns them), so traces are position-independent: the
-// replayer re-allocates and patches addresses.
+// The encoding is a dense little-endian binary stream: a 4-byte magic
+// header, then per event one opcode byte followed by fixed-width operands
+// (operandLen gives their total size per opcode). Pointers are virtual
+// register indices (the recorder assigns them), so traces are
+// position-independent: the replayer re-allocates and patches addresses.
+//
+// The encoding is canonical: every accepted stream is exactly what
+// Encode produces for the events it decodes to. Decoders therefore reject
+// anything Encode cannot emit — an access-type byte other than 0 or 1,
+// and a stream without the header (even an empty one).
 package trace
 
 import (
@@ -48,6 +54,26 @@ const (
 // magic identifies trace streams (and their version).
 var magic = [4]byte{'G', 'S', 'T', '1'}
 
+// maxOperandLen is the largest entry of operandLen (OpRange).
+const maxOperandLen = 21
+
+// operandLen is the wire format: the number of operand bytes after each
+// opcode byte, indexed by opcode; -1 marks an unknown opcode. The
+// encoder, the streaming Reader and Decode all size events from it.
+var operandLen = func() (t [256]int8) {
+	for i := range t {
+		t[i] = -1
+	}
+	t[OpMalloc], t[OpAlloca] = 12, 12
+	t[OpFree] = 4
+	t[OpAccess] = 14
+	t[OpRange] = maxOperandLen
+	t[OpPush], t[OpPop] = 0, 0
+	return t
+}()
+
+var le = binary.LittleEndian
+
 // Event is one decoded trace record.
 type Event struct {
 	Op    Op
@@ -58,11 +84,95 @@ type Event struct {
 	Write bool
 }
 
+// appendEvent appends ev's encoding to dst. ev.Op must be a known opcode.
+func appendEvent(dst []byte, ev Event) []byte {
+	dst = append(dst, byte(ev.Op))
+	switch ev.Op {
+	case OpMalloc, OpAlloca:
+		dst = le.AppendUint32(dst, ev.Reg)
+		dst = le.AppendUint64(dst, ev.Size)
+	case OpFree:
+		dst = le.AppendUint32(dst, ev.Reg)
+	case OpAccess:
+		dst = le.AppendUint32(dst, ev.Reg)
+		dst = le.AppendUint64(dst, uint64(ev.Off))
+		dst = append(dst, ev.Width, b2u(ev.Write))
+	case OpRange:
+		dst = le.AppendUint32(dst, ev.Reg)
+		dst = le.AppendUint64(dst, uint64(ev.Off))
+		dst = le.AppendUint64(dst, ev.Size)
+		dst = append(dst, b2u(ev.Write))
+	}
+	return dst
+}
+
+// decodeEvent decodes into ev the event with 0-based ordinal idx whose
+// opcode byte op sits at byte offset start. b holds the operand bytes
+// available after the opcode: at most operandLen[op], fewer when the
+// stream ended inside the event. Both byte sources — Reader.Next and
+// Decode — go through it, so they accept the same streams and fail with
+// the same errors.
+func decodeEvent(ev *Event, idx int, start int64, op byte, b []byte) error {
+	n := int(operandLen[op])
+	if n < 0 {
+		return eventErr(idx, start, "unknown opcode %d", op)
+	}
+	if len(b) < n {
+		return eventErr(idx, start, "opcode %d truncated after %d bytes: %w",
+			op, 1+len(b), io.ErrUnexpectedEOF)
+	}
+	*ev = Event{Op: Op(op)}
+	var at byte
+	switch ev.Op {
+	case OpMalloc, OpAlloca:
+		ev.Reg = le.Uint32(b)
+		ev.Size = le.Uint64(b[4:])
+	case OpFree:
+		ev.Reg = le.Uint32(b)
+	case OpAccess:
+		ev.Reg = le.Uint32(b)
+		ev.Off = int64(le.Uint64(b[4:]))
+		ev.Width, at = b[12], b[13]
+	case OpRange:
+		ev.Reg = le.Uint32(b)
+		ev.Off = int64(le.Uint64(b[4:]))
+		ev.Size = le.Uint64(b[12:])
+		at = b[20]
+	}
+	if at > 1 {
+		return eventErr(idx, start, "opcode %d: access type %d", op, at)
+	}
+	ev.Write = at == 1
+	return nil
+}
+
+// eventErr annotates a mid-event failure with the event's 1-based
+// ordinal (matching Replay's "event %d" convention) and the byte offset
+// where the event started.
+func eventErr(idx int, start int64, format string, args ...any) error {
+	prefix := fmt.Sprintf("trace: event %d (byte offset %d): ", idx+1, start)
+	return fmt.Errorf(prefix+format, args...)
+}
+
+// checkHeader validates m, the first bytes of a stream: all of the
+// header, or as much of it as the stream held.
+func checkHeader(m []byte) error {
+	if len(m) < len(magic) {
+		return fmt.Errorf("trace: truncated magic (%d of %d header bytes): %w",
+			len(m), len(magic), io.ErrUnexpectedEOF)
+	}
+	if [4]byte(m) != magic {
+		return fmt.Errorf("trace: header %q at byte offset 0: %w", m[:len(magic)], ErrBadMagic)
+	}
+	return nil
+}
+
 // Writer serializes events.
 type Writer struct {
 	w       *bufio.Writer
 	nextReg uint32
 	started bool
+	scratch [1 + maxOperandLen]byte
 }
 
 // NewWriter returns a Writer over w.
@@ -86,17 +196,18 @@ func (tw *Writer) NewReg() uint32 {
 	return r
 }
 
-func (tw *Writer) emit(op Op, fields ...any) error {
+func (tw *Writer) emit(ev Event) error {
 	if err := tw.header(); err != nil {
 		return err
 	}
-	if err := tw.w.WriteByte(byte(op)); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		if err := binary.Write(tw.w, binary.LittleEndian, f); err != nil {
-			return err
-		}
+	_, err := tw.w.Write(appendEvent(tw.scratch[:0], ev))
+	return err
+}
+
+// encodable rejects events whose opcode has no wire form.
+func encodable(op Op) error {
+	if operandLen[op] < 0 {
+		return fmt.Errorf("trace: cannot encode unknown opcode %d", op)
 	}
 	return nil
 }
@@ -107,52 +218,42 @@ func (tw *Writer) emit(op Op, fields ...any) error {
 // NewReg), so the caller owns register coherence — a subsequence of a
 // valid trace keeps the original register numbers.
 func (tw *Writer) Emit(ev Event) error {
-	switch ev.Op {
-	case OpMalloc, OpAlloca:
-		return tw.emit(ev.Op, ev.Reg, ev.Size)
-	case OpFree:
-		return tw.emit(ev.Op, ev.Reg)
-	case OpAccess:
-		return tw.emit(ev.Op, ev.Reg, ev.Off, ev.Width, b2u(ev.Write))
-	case OpRange:
-		return tw.emit(ev.Op, ev.Reg, ev.Off, ev.Size, b2u(ev.Write))
-	case OpPush, OpPop:
-		return tw.emit(ev.Op)
-	default:
-		return fmt.Errorf("trace: cannot encode unknown opcode %d", ev.Op)
+	if err := encodable(ev.Op); err != nil {
+		return err
 	}
+	return tw.emit(ev)
 }
 
 // Malloc records an allocation into a fresh register and returns it.
 func (tw *Writer) Malloc(size uint64) (uint32, error) {
 	reg := tw.NewReg()
-	return reg, tw.emit(OpMalloc, reg, size)
+	return reg, tw.emit(Event{Op: OpMalloc, Reg: reg, Size: size})
 }
 
 // Alloca records a stack allocation into a fresh register.
 func (tw *Writer) Alloca(size uint64) (uint32, error) {
 	reg := tw.NewReg()
-	return reg, tw.emit(OpAlloca, reg, size)
+	return reg, tw.emit(Event{Op: OpAlloca, Reg: reg, Size: size})
 }
 
 // Free records a free of reg.
-func (tw *Writer) Free(reg uint32) error { return tw.emit(OpFree, reg) }
+func (tw *Writer) Free(reg uint32) error { return tw.emit(Event{Op: OpFree, Reg: reg}) }
 
 // Access records a width-byte access at reg+off.
 func (tw *Writer) Access(reg uint32, off int64, width uint8, write bool) error {
-	return tw.emit(OpAccess, reg, off, width, b2u(write))
+	return tw.emit(Event{Op: OpAccess, Reg: reg, Off: off, Width: width, Write: write})
 }
 
 // Range records a bulk operation over [reg+off, reg+off+n).
 func (tw *Writer) Range(reg uint32, off int64, n uint64, write bool) error {
-	return tw.emit(OpRange, reg, off, n, b2u(write))
+	return tw.emit(Event{Op: OpRange, Reg: reg, Off: off, Size: n, Write: write})
 }
 
 // Push records a frame push.
-func (tw *Writer) Push() error { return tw.emit(OpPush) }
+func (tw *Writer) Push() error { return tw.emit(Event{Op: OpPush}) }
 
 // Pop records a frame pop.
-func (tw *Writer) Pop() error { return tw.emit(OpPop) }
+func (tw *Writer) Pop() error { return tw.emit(Event{Op: OpPop}) }
 
 // Flush flushes buffered output.
 func (tw *Writer) Flush() error {
@@ -172,7 +273,8 @@ func b2u(b bool) uint8 {
 // ErrBadMagic marks a stream that is not a trace.
 var ErrBadMagic = errors.New("trace: bad magic")
 
-// Reader decodes events. It tracks the byte offset consumed so far and
+// Reader decodes events from a stream, one at a time and without
+// allocating per event. It tracks the byte offset consumed so far and
 // the ordinal of the event being decoded, and stamps both into every
 // decode error — a truncated or corrupted stream names the exact spot,
 // which is what makes shrinker validity checks and service replay
@@ -181,11 +283,11 @@ type Reader struct {
 	r       *bufio.Reader
 	started bool
 	// off is the number of bytes fully consumed from the stream; idx the
-	// number of events fully decoded. During Next they locate the event
-	// currently being decoded: idx+1 is its 1-based ordinal (matching
-	// Replay's "event %d" convention), off its starting byte.
+	// number of events fully decoded.
 	off int64
 	idx int
+	// buf holds the operands of the event being decoded.
+	buf [maxOperandLen]byte
 }
 
 // NewReader returns a Reader over r.
@@ -196,139 +298,110 @@ func NewReader(r io.Reader) *Reader {
 // Offset returns the number of bytes consumed so far.
 func (tr *Reader) Offset() int64 { return tr.off }
 
-// readFull fills buf, charging the consumed bytes to the offset.
-func (tr *Reader) readFull(buf []byte) error {
+// readFull fills buf as far as the stream allows, charging the consumed
+// bytes to the offset. It returns the filled prefix; err is nil, io.EOF
+// or io.ErrUnexpectedEOF when the stream ended early, or a read error.
+func (tr *Reader) readFull(buf []byte) ([]byte, error) {
 	n, err := io.ReadFull(tr.r, buf)
 	tr.off += int64(n)
-	return err
-}
-
-// decodeErr annotates a mid-event failure with the event's 1-based
-// ordinal and the byte offset where the event started.
-func (tr *Reader) decodeErr(start int64, format string, args ...any) error {
-	prefix := fmt.Sprintf("trace: event %d (byte offset %d): ", tr.idx+1, start)
-	return fmt.Errorf(prefix+format, args...)
+	return buf[:n], err
 }
 
 // Next decodes one event; io.EOF ends the stream.
 func (tr *Reader) Next() (Event, error) {
 	if !tr.started {
 		var m [4]byte
-		if err := tr.readFull(m[:]); err != nil {
-			if err == io.ErrUnexpectedEOF || (err == io.EOF && tr.off > 0) {
-				return Event{}, fmt.Errorf("trace: truncated magic (%d of %d header bytes): %w",
-					tr.off, len(magic), io.ErrUnexpectedEOF)
-			}
+		got, err := tr.readFull(m[:])
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return Event{}, err
 		}
-		if m != magic {
-			return Event{}, fmt.Errorf("trace: header %q at byte offset 0: %w", m[:], ErrBadMagic)
+		if err := checkHeader(got); err != nil {
+			return Event{}, err
 		}
 		tr.started = true
 	}
 	start := tr.off
-	var opbuf [1]byte
-	if err := tr.readFull(opbuf[:]); err != nil {
+	op, err := tr.r.ReadByte()
+	if err != nil {
 		return Event{}, err // io.EOF here is the clean end of stream
 	}
-	opb := opbuf[0]
-	ev := Event{Op: Op(opb)}
-	read := func(fields ...any) error {
-		for _, f := range fields {
-			var buf []byte
-			switch v := f.(type) {
-			case *uint8:
-				var b [1]byte
-				if err := tr.readFull(b[:]); err != nil {
-					return err
-				}
-				*v = b[0]
-				continue
-			case *uint32:
-				buf = make([]byte, 4)
-				if err := tr.readFull(buf); err != nil {
-					return err
-				}
-				*v = binary.LittleEndian.Uint32(buf)
-				continue
-			case *uint64:
-				buf = make([]byte, 8)
-				if err := tr.readFull(buf); err != nil {
-					return err
-				}
-				*v = binary.LittleEndian.Uint64(buf)
-				continue
-			case *int64:
-				buf = make([]byte, 8)
-				if err := tr.readFull(buf); err != nil {
-					return err
-				}
-				*v = int64(binary.LittleEndian.Uint64(buf))
-				continue
-			default:
-				return fmt.Errorf("unsupported operand type %T", f)
-			}
-		}
-		return nil
+	tr.off++
+	b, err := tr.readFull(tr.buf[:max(operandLen[op], 0)])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return Event{}, eventErr(tr.idx, start, "opcode %d: %w", op, err)
 	}
-	var err error
-	var w uint8
-	switch ev.Op {
-	case OpMalloc, OpAlloca:
-		err = read(&ev.Reg, &ev.Size)
-	case OpFree:
-		err = read(&ev.Reg)
-	case OpAccess:
-		err = read(&ev.Reg, &ev.Off, &ev.Width, &w)
-		ev.Write = w == 1
-	case OpRange:
-		err = read(&ev.Reg, &ev.Off, &ev.Size, &w)
-		ev.Write = w == 1
-	case OpPush, OpPop:
-	default:
-		return Event{}, tr.decodeErr(start, "unknown opcode %d", opb)
-	}
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Event{}, tr.decodeErr(start, "opcode %d truncated after %d bytes: %w",
-				opb, tr.off-start, io.ErrUnexpectedEOF)
-		}
-		return Event{}, tr.decodeErr(start, "opcode %d: %w", opb, err)
+	var ev Event
+	if err := decodeEvent(&ev, tr.idx, start, op, b); err != nil {
+		return Event{}, err
 	}
 	tr.idx++
 	return ev, nil
 }
 
-// ReadAll decodes a whole trace stream into its event list.
-func ReadAll(r io.Reader) ([]Event, error) {
-	tr := NewReader(r)
-	var out []Event
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
+// Decode decodes a whole in-memory trace into its event list. It accepts
+// exactly the streams Reader.Next accepts and fails with the same
+// errors, but sizes the result with one pass over the opcodes and fills
+// it with a second, so the list is allocated once.
+func Decode(data []byte) ([]Event, error) {
+	if err := checkHeader(data); err != nil {
+		return nil, err
+	}
+	// One slot per opcode up to the end of data or the first unknown
+	// opcode, so the fill pass below, which stops at the first error,
+	// never outruns the result.
+	n := 0
+	for off := len(magic); off < len(data); n++ {
+		l := operandLen[data[off]]
+		if l < 0 {
+			n++
+			break
 		}
-		if err != nil {
+		off += 1 + int(l)
+	}
+	events := make([]Event, n)
+	for i, off := 0, len(magic); off < len(data); i++ {
+		op := data[off]
+		end := min(off+1+max(int(operandLen[op]), 0), len(data))
+		if err := decodeEvent(&events[i], i, int64(off), op, data[off+1:end]); err != nil {
 			return nil, err
 		}
-		out = append(out, ev)
+		off = end
 	}
+	return events, nil
+}
+
+// ReadAll reads a whole trace stream and decodes it with Decode. A
+// reader that knows its remaining length (as *bytes.Reader and
+// *bytes.Buffer do) is read into a buffer sized once.
+func ReadAll(r io.Reader) ([]Event, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// ReadFrom asks for MinRead spare bytes before every read, the
+		// final one that reports EOF included; reserving them up front
+		// keeps it from growing the buffer.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
+	}
+	return Decode(buf.Bytes())
 }
 
 // Encode serializes an event list into the trace wire format (magic
-// header included) — the inverse of ReadAll.
+// header included) — the inverse of Decode.
 func Encode(events []Event) ([]byte, error) {
-	var buf bytes.Buffer
-	tw := NewWriter(&buf)
+	n := len(magic)
 	for _, ev := range events {
-		if err := tw.Emit(ev); err != nil {
+		if err := encodable(ev.Op); err != nil {
 			return nil, err
 		}
+		n += 1 + int(operandLen[ev.Op])
 	}
-	if err := tw.Flush(); err != nil {
-		return nil, err
+	out := append(make([]byte, 0, n), magic[:]...)
+	for _, ev := range events {
+		out = appendEvent(out, ev)
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 // ReplayResult summarizes one replay.

@@ -13,7 +13,7 @@ import (
 
 // record builds a small trace: alloc, clean accesses, one overflow, a
 // stack frame, a UAF.
-func record(t *testing.T) []byte {
+func record(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
