@@ -39,7 +39,7 @@
 // -exp shards measures the service's horizontal scale-out: a tenant
 // batch routed through real consistent-hash ShardSets at increasing
 // shard counts, billed on the virtual clock (makespan = the slowest
-// shard's summed bill), plus the forked-arena residency table (resident
+// shard's summed bill), plus the arena residency table (resident
 // shadow bytes vs pages dirtied), written to BENCH_shards.json. The run
 // itself fails if any session's outcome differs between shard counts —
 // the sharding determinism contract. -shards-check additionally fails
@@ -100,6 +100,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"giantsan/internal/bench"
@@ -177,6 +178,26 @@ func main() {
 		return enc.Encode(v)
 	}
 
+	// report writes rep as indented JSON to the file out (skipped when out
+	// is empty) and prints it: the JSON itself under -json, otherwise the
+	// caption, the rendered table and where the file went.
+	report := func(rep any, out, caption string, render func() string) error {
+		if out != "" {
+			if err := writeJSON(out, rep); err != nil {
+				return err
+			}
+		}
+		if *asJSON {
+			return emitJSON(rep)
+		}
+		fmt.Println(caption)
+		fmt.Println(render())
+		if out != "" {
+			fmt.Printf("(written to %s)\n", out)
+		}
+		return nil
+	}
+
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return
@@ -242,53 +263,15 @@ func main() {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*hotpathOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			return emitJSON(rep)
-		}
-		fmt.Println("Hot-path microbenchmark — ns/check and shadow-loads/check per sanitizer × shape")
-		fmt.Println(hotpath.Render(rep))
-		fmt.Printf("(written to %s)\n", *hotpathOut)
-		return nil
+		return report(rep, *hotpathOut, "Hot-path microbenchmark — ns/check and shadow-loads/check per sanitizer × shape", func() string { return hotpath.Render(rep) })
 	})
 	run("metapath", func() error {
 		rep, err := metapath.Run(*metapathOps)
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*metapathOut)
-		if err != nil {
+		if err := report(rep, *metapathOut, "Metadata-path microbenchmark — ns/op and shadow-stores/op per sanitizer × class × churn", func() string { return metapath.Render(rep) }); err != nil {
 			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Metadata-path microbenchmark — ns/op and shadow-stores/op per sanitizer × class × churn")
-			fmt.Println(metapath.Render(rep))
-			fmt.Printf("(written to %s)\n", *metapathOut)
 		}
 		if *metapathMin > 0 {
 			var keys []string
@@ -306,27 +289,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*tiersOut)
-		if err != nil {
+		if err := report(rep, *tiersOut, "Sanitization tiers — virtual ns/session vs planted-bug detection per ladder rung", func() string { return bench.RenderTiers(rep) }); err != nil {
 			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Sanitization tiers — virtual ns/session vs planted-bug detection per ladder rung")
-			fmt.Println(bench.RenderTiers(rep))
-			fmt.Printf("(written to %s)\n", *tiersOut)
 		}
 		if *tiersCheck {
 			return bench.CheckMonotone(rep)
@@ -338,27 +302,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*shardsOut)
-		if err != nil {
+		if err := report(rep, *shardsOut, "Service scale-out — virtual-clock makespan per shard count, forked-arena shadow residency", func() string { return shards.Render(rep) }); err != nil {
 			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Service scale-out — virtual-clock makespan per shard count, forked-arena shadow residency")
-			fmt.Println(shards.Render(rep))
-			fmt.Printf("(written to %s)\n", *shardsOut)
 		}
 		if *shardsCheck {
 			return shards.Check(rep, *shardsMin)
@@ -370,27 +315,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*federationOut)
-		if err != nil {
+		if err := report(rep, *federationOut, "Multi-process federation — routed makespan per backend count, proxy overhead, kill-one failover", func() string { return federation.Render(rep) }); err != nil {
 			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Multi-process federation — routed makespan per backend count, proxy overhead, kill-one failover")
-			fmt.Println(federation.Render(rep))
-			fmt.Printf("(written to %s)\n", *federationOut)
 		}
 		if *federationCheck {
 			return federation.Check(rep, *federationMin2, *federationMin4)
@@ -402,27 +328,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*fuzzOut)
-		if err != nil {
+		if err := report(rep, *fuzzOut, "Sanitizer-guided fuzzing — executions-to-detection, guided vs blind campaigns", func() string { return fuzzbench.Render(rep) }); err != nil {
 			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Sanitizer-guided fuzzing — executions-to-detection, guided vs blind campaigns")
-			fmt.Println(fuzzbench.Render(rep))
-			fmt.Printf("(written to %s)\n", *fuzzOut)
 		}
 		if *fuzzCheck {
 			return fuzzbench.Check(rep, *fuzzMin)
@@ -434,33 +341,16 @@ func main() {
 	// discrepancy" exit contract should not ambush -exp all.
 	if *exp == "canary" {
 		rep, err := bench.CanaryRun(*canaryPrograms, *canaryPlant, "", engine("canary"))
+		if err == nil && *canaryOut != "" {
+			err = writeJSON(*canaryOut, rep)
+		}
+		if err == nil {
+			err = report(rep, "", "Differential validation canary — fast vs reference vs oracle over generated programs",
+				func() string { return strings.TrimSuffix(bench.RenderCanary(rep), "\n") })
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
 			os.Exit(1)
-		}
-		if *canaryOut != "" {
-			f, err := os.Create(*canaryOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-				os.Exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Println("Differential validation canary — fast vs reference vs oracle over generated programs")
-			fmt.Print(bench.RenderCanary(rep))
 		}
 		// A discrepancy with no plant is a real fast-path drift: fail the
 		// run. With a plant, discrepancies are the expected outcome.
@@ -477,4 +367,19 @@ func main() {
 		fmt.Println(bench.RenderFig11(pts))
 		return nil
 	})
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

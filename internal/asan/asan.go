@@ -55,50 +55,20 @@ func New(sp *vmem.Space) *Sanitizer { return newNamed(sp, "asan") }
 func NewMinus(sp *vmem.Space) *Sanitizer { return newNamed(sp, "asan--") }
 
 func newNamed(sp *vmem.Space, name string) *Sanitizer {
-	s := &Sanitizer{sh: shadow.New(sp), name: name}
-	s.sh.Fill(0, s.sh.NumSegments(), CodeUnallocated)
-	return s
-}
-
-// BaseImage returns the pristine shadow image of an ASan instance over sp —
-// the exact state newNamed lays down, captured once for sharing. Uniform,
-// so the snapshot costs one overlay page regardless of the space size.
-func BaseImage(sp *vmem.Space) *shadow.Image {
-	return shadow.NewUniformImage(sp.Base(), int(sp.Size()>>shadow.SegShift), CodeUnallocated)
-}
-
-// Fork returns an ASan instance whose shadow is a copy-on-write fork of img
-// (from BaseImage over an identically-shaped space). Observably identical
-// to New, but construction writes no shadow bytes and resident shadow grows
-// only with the pages the workload dirties. Forked instances inherit the
-// single-goroutine contract of shadow.Fork.
-func Fork(img *shadow.Image) *Sanitizer {
-	return &Sanitizer{sh: shadow.Fork(img), name: "asan"}
-}
-
-// ForkMinus is Fork under the "asan--" label, mirroring NewMinus.
-func ForkMinus(img *shadow.Image) *Sanitizer {
-	return &Sanitizer{sh: shadow.Fork(img), name: "asan--"}
+	return &Sanitizer{sh: shadow.New(sp, CodeUnallocated), name: name}
 }
 
 // Name implements san.Sanitizer.
 func (a *Sanitizer) Name() string { return a.name }
 
-// ResetSpan implements san.Resetter: the segments covering [base,
-// base+size) return to the initial CodeUnallocated image newNamed lays
-// down. Like core's ResetSpan it bills no ShadowStores — recycling is
-// arena maintenance outside the cost model.
-func (a *Sanitizer) ResetSpan(base vmem.Addr, size uint64) {
-	a.sh.ReimageSpan(base, size, CodeUnallocated)
-}
+// DropOverlay implements san.Resetter: the whole shadow snaps back to
+// the CodeUnallocated state newNamed lays down, in O(dirty pages). Like
+// core's it bills no ShadowStores — recycling is arena maintenance
+// outside the cost model.
+func (a *Sanitizer) DropOverlay() { a.sh.DropOverlay() }
 
 // ResetStats implements san.Resetter.
 func (a *Sanitizer) ResetStats() { a.stats.Reset() }
-
-// DropOverlay implements san.OverlayDropper: on a forked instance the whole
-// shadow snaps back to the pristine base image in O(dirty pages); dense
-// instances report false and the caller falls back to ResetSpan.
-func (a *Sanitizer) DropOverlay() bool { return a.sh.DropOverlay() }
 
 // Stats implements san.Sanitizer.
 func (a *Sanitizer) Stats() *san.Stats { return &a.stats }

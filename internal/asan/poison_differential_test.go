@@ -30,9 +30,14 @@ var allPoisonKinds = []san.PoisonKind{
 	san.StackRedzone, san.StackAfterReturn, san.GlobalRedzone,
 }
 
+// snapshotAll copies every segment code of s's shadow.
+func snapshotAll(s *Sanitizer) []uint8 {
+	return s.Shadow().Snapshot(0, s.Shadow().NumSegments())
+}
+
 func mustMatch(t *testing.T, name string, fast, ref *Sanitizer) {
 	t.Helper()
-	fr, rr := fast.Shadow().Raw(), ref.Shadow().Raw()
+	fr, rr := snapshotAll(fast), snapshotAll(ref)
 	for i := range fr {
 		if fr[i] != rr[i] {
 			t.Fatalf("%s: shadow diverged at segment %d: fast=%#x ref=%#x", name, i, fr[i], rr[i])

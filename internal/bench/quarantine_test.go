@@ -70,7 +70,7 @@ func quarantineChurnDigest(budget uint64) uint64 {
 			live = live[1:]
 		}
 	}
-	h.Write(env.San().(interface{ Shadow() *shadow.Memory }).Shadow().Raw())
+	word(env.San().(interface{ Shadow() *shadow.Memory }).Shadow().Digest())
 	return h.Sum64()
 }
 

@@ -1,6 +1,6 @@
 // Package shards is the scale-out benchmark suite behind -serve-shards:
 // it measures how session throughput scales with the shard count on the
-// virtual clock, and how a forked arena's resident shadow footprint
+// virtual clock, and how an arena's resident shadow footprint
 // tracks the pages its tenant actually dirties. The committed artifact is
 // BENCH_shards.json.
 //
@@ -63,8 +63,8 @@ type ScalingRow struct {
 	SessionsPerShard []int `json:"sessionsPerShard"`
 }
 
-// ResidencyRow records one forked arena's shadow footprint after running
-// a session, against the dense arena it replaces.
+// ResidencyRow records one arena's shadow footprint after running a
+// session, against the flat shadow plane a dense layout would allocate.
 type ResidencyRow struct {
 	Workload string `json:"workload"`
 	// HeapBytes is the arena size the tenant was given (the workload
@@ -75,12 +75,12 @@ type ResidencyRow struct {
 	// privatized 4 KiB shadow pages and their bytes.
 	DirtyPages    int `json:"dirtyPages"`
 	ResidentBytes int `json:"residentBytes"`
-	// DenseShadowBytes is what a dense New arena pays up front.
+	// DenseShadowBytes is what a flat shadow plane over the arena costs.
 	DenseShadowBytes int `json:"denseShadowBytes"`
 	// ResidentShare is ResidentBytes / DenseShadowBytes.
 	ResidentShare float64 `json:"residentShare"`
 	// PostResetPages is DirtyPages after Env.Reset: the overlay-drop
-	// reset path must return the fork to zero resident shadow.
+	// reset path must return the arena to zero resident shadow.
 	PostResetPages int `json:"postResetPages"`
 }
 
@@ -100,7 +100,7 @@ type outcome struct {
 }
 
 // Run measures virtual-clock makespan at each shard count (counts[0] is
-// the speedup baseline, conventionally 1) and the forked-arena residency
+// the speedup baseline, conventionally 1) and the arena residency
 // table. tenants <= 0 means DefaultTenants.
 func Run(counts []int, tenants int) (*Report, error) {
 	if len(counts) == 0 {
@@ -176,10 +176,10 @@ func Run(counts []int, tenants int) (*Report, error) {
 	return rep, nil
 }
 
-// residency runs one session per (workload, arena size) on a freshly
-// forked arena and records its overlay footprint. Growing the arena with
-// the workload fixed is the point: a dense arena's shadow cost scales
-// with capacity, a fork's with use.
+// residency runs one session per (workload, arena size) on a fresh
+// arena and records its overlay footprint. Growing the arena with the
+// workload fixed is the point: a flat shadow's cost scales with capacity,
+// the page table's with use.
 func residency() ([]ResidencyRow, error) {
 	var rows []ResidencyRow
 	for _, id := range []string{"505.mcf_r", "557.xz_r"} {
@@ -191,7 +191,7 @@ func residency() ([]ResidencyRow, error) {
 			if heap < w.HeapBytes {
 				continue
 			}
-			env := rt.Fork(rt.Config{Kind: rt.GiantSan, HeapBytes: heap})
+			env := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: heap})
 			ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile, env)
 			if err != nil {
 				return nil, fmt.Errorf("shards: residency %s: %w", id, err)

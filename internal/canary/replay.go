@@ -2,7 +2,6 @@ package canary
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"giantsan/internal/rt"
@@ -105,9 +104,7 @@ func sanLeg(events []trace.Event, cfg Config, reference bool, plant Plant) (obs 
 	}
 	obs.ErrorLog = log.String()
 	if sh, ok := env.San().(interface{ Shadow() *shadow.Memory }); ok {
-		h := fnv.New64a()
-		h.Write(sh.Shadow().Raw())
-		obs.ShadowDigest = fmt.Sprintf("%016x", h.Sum64())
+		obs.ShadowDigest = fmt.Sprintf("%016x", sh.Shadow().Digest())
 	}
 	return obs, nil
 }

@@ -33,11 +33,16 @@ var allPoisonKinds = []san.PoisonKind{
 	san.StackRedzone, san.StackAfterReturn, san.GlobalRedzone,
 }
 
+// snapshotAll copies every segment code of s's shadow.
+func snapshotAll(s *Sanitizer) []uint8 {
+	return s.Shadow().Snapshot(0, s.Shadow().NumSegments())
+}
+
 // mustMatch asserts byte-identical shadow and identical Stats between the
 // fast- and reference-path instances.
 func mustMatch(t *testing.T, name string, fast, ref *Sanitizer) {
 	t.Helper()
-	fr, rr := fast.Shadow().Raw(), ref.Shadow().Raw()
+	fr, rr := snapshotAll(fast), snapshotAll(ref)
 	if len(fr) != len(rr) {
 		t.Fatalf("%s: shadow sizes differ", name)
 	}

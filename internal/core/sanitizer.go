@@ -24,50 +24,24 @@ type Sanitizer struct {
 }
 
 // New returns a GiantSan instance over sp. The entire space starts
-// non-addressable (code CodeUnallocated) until allocators mark regions.
+// non-addressable (code CodeUnallocated) until allocators mark regions;
+// the shadow's page table serves that state from one shared page, so
+// construction writes no shadow bytes.
 func New(sp *vmem.Space) *Sanitizer {
-	s := &Sanitizer{sh: shadow.New(sp)}
-	s.sh.Fill(0, s.sh.NumSegments(), CodeUnallocated)
-	return s
-}
-
-// BaseImage returns the pristine shadow image of a GiantSan instance over
-// sp — the exact state New lays down, captured once for sharing. Uniform
-// (everything CodeUnallocated), so the snapshot costs one overlay page
-// regardless of the space size.
-func BaseImage(sp *vmem.Space) *shadow.Image {
-	return shadow.NewUniformImage(sp.Base(), int(sp.Size()>>shadow.SegShift), CodeUnallocated)
-}
-
-// Fork returns a GiantSan instance whose shadow is a copy-on-write fork of
-// img (which must come from BaseImage over an identically-shaped space).
-// Observably identical to New — the reset differential suite proves it —
-// but construction writes no shadow bytes, and resident shadow grows only
-// with the pages the workload dirties. Forked instances inherit the
-// single-goroutine contract of shadow.Fork.
-func Fork(img *shadow.Image) *Sanitizer {
-	return &Sanitizer{sh: shadow.Fork(img)}
+	return &Sanitizer{sh: shadow.New(sp, CodeUnallocated)}
 }
 
 // Name implements san.Sanitizer.
 func (g *Sanitizer) Name() string { return "giantsan" }
 
-// ResetSpan implements san.Resetter: the segments covering [base,
-// base+size) return to the initial CodeUnallocated image a fresh New
-// lays down, retiring 8 segments per machine store. Unlike Poison it
-// does not bill ShadowStores — recycling is arena maintenance, not
-// sanitizer work the cost model should see.
-func (g *Sanitizer) ResetSpan(base vmem.Addr, size uint64) {
-	g.sh.ReimageSpan(base, size, CodeUnallocated)
-}
+// DropOverlay implements san.Resetter: the whole shadow snaps back to
+// the CodeUnallocated state New lays down, in O(dirty pages). Unlike
+// Poison it does not bill ShadowStores — recycling is arena maintenance,
+// not sanitizer work the cost model should see.
+func (g *Sanitizer) DropOverlay() { g.sh.DropOverlay() }
 
 // ResetStats implements san.Resetter.
 func (g *Sanitizer) ResetStats() { g.stats.Reset() }
-
-// DropOverlay implements san.OverlayDropper: on a forked instance the whole
-// shadow snaps back to the pristine base image in O(dirty pages); dense
-// instances report false and the caller falls back to ResetSpan.
-func (g *Sanitizer) DropOverlay() bool { return g.sh.DropOverlay() }
 
 // Stats implements san.Sanitizer.
 func (g *Sanitizer) Stats() *san.Stats { return &g.stats }

@@ -53,7 +53,7 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 	}
 
 	for _, m := range matrix {
-		env := rt.Fork(rt.Config{Kind: m.kind, HeapBytes: c.cfg.HeapBytes})
+		env := rt.New(rt.Config{Kind: m.kind, HeapBytes: c.cfg.HeapBytes})
 		ex, err := interp.Prepare(p, m.prof, env)
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: confirm %s under %s: %w", cls, m.name, err)
@@ -95,9 +95,8 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 }
 
 // record executes p under GiantSan with a trace recorder attached and
-// returns the decoded events. Uses a dense runtime (rt.New): the recorder
-// wraps the runtime interface, and the trace must replay against any
-// backing.
+// returns the decoded events. The recorder wraps the runtime interface,
+// so the trace replays against any runtime.
 func (c *campaign) record(p *ir.Prog) ([]trace.Event, error) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)

@@ -11,8 +11,8 @@
 //
 // Campaigns are deterministic at any parallelism level. Each generation
 // is scheduled serially (all randomness is drawn from the campaign rng
-// before workers start), executed in parallel over shared-nothing forked
-// runtimes (rt.Fork), and folded back in index order via parallel.Map's
+// before workers start), executed in parallel over shared-nothing
+// runtimes (rt.New), and folded back in index order via parallel.Map's
 // ordered results. Byte-identical reports at -parallel 1 and -parallel N
 // are a tested property, not an aspiration.
 package fuzz
@@ -70,7 +70,7 @@ type Config struct {
 	// yields byte-identical reports.
 	Parallel int
 	// HeapBytes sizes each execution runtime (0 = 4 MiB; campaigns run
-	// thousands of tiny programs, so small arenas keep forks cheap).
+	// thousands of tiny programs, so small arenas keep runtimes cheap).
 	HeapBytes uint64
 	// MaxCorpus bounds the population (0 = 256).
 	MaxCorpus int
@@ -216,7 +216,7 @@ func (c *campaign) allDetected() bool {
 	return true
 }
 
-// execOne runs p once under the full GiantSan profile on a fresh forked
+// execOne runs p once under the full GiantSan profile on a fresh
 // runtime. Pure: shared-nothing, no campaign state touched, safe to fan
 // out.
 func (c *campaign) execOne(p *ir.Prog) (res *interp.Result, err error) {
@@ -225,7 +225,7 @@ func (c *campaign) execOne(p *ir.Prog) (res *interp.Result, err error) {
 			err = fmt.Errorf("fuzz: executing %s: panic: %v", p.Name, r)
 		}
 	}()
-	env := rt.Fork(rt.Config{Kind: rt.GiantSan, HeapBytes: c.cfg.HeapBytes})
+	env := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: c.cfg.HeapBytes})
 	ex, err := interp.Prepare(p, instrument.GiantSanProfile, env)
 	if err != nil {
 		return nil, err

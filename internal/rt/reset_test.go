@@ -117,7 +117,8 @@ func dirty(t *testing.T, e *Env) string {
 // TestResetMatchesFresh is the pooling-safety contract: a recycled arena
 // must be byte-for-byte equivalent to a freshly built one — same shadow
 // image, same (zeroed) application bytes, same oracle ground truth, Stats
-// zeroed — and must behave identically on the next workload. Without
+// zeroed, no resident shadow pages — and must behave identically on the
+// next workload. Without
 // this, the service arena pool could leak one tenant's poison, data, or
 // counters into the next tenant's session.
 func TestResetMatchesFresh(t *testing.T) {
@@ -127,8 +128,23 @@ func TestResetMatchesFresh(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fresh := New(cfg)
 			recycled := New(cfg)
+			if pages, b := recycled.OverlayStats(); pages != 0 || b != 0 {
+				t.Fatalf("new env resident: %d pages, %d bytes", pages, b)
+			}
 			dirty(t, recycled)
+			pages, b := recycled.OverlayStats()
+			if pages == 0 || b != pages*shadow.PageBytes {
+				t.Fatalf("overlay stats after workload: %d pages, %d bytes", pages, b)
+			}
+			// Residency is proportional to what was dirtied, not to the
+			// arena: the workload touches a few dozen KiB of a 256 KiB heap.
+			if b >= recycled.ShadowBytes() {
+				t.Fatalf("overlay resident %d bytes >= flat shadow %d", b, recycled.ShadowBytes())
+			}
 			recycled.Reset()
+			if pages, b := recycled.OverlayStats(); pages != 0 || b != 0 {
+				t.Fatalf("post-reset env resident: %d pages, %d bytes", pages, b)
+			}
 
 			// Structural equivalence: shadow, application bytes, stats.
 			fs, rs := envShadow(t, fresh), envShadow(t, recycled)
@@ -186,85 +202,16 @@ func requireEnvEqual(t *testing.T, want, got *Env, context string) {
 	}
 }
 
-// TestForkMatchesFresh extends the pooling-safety contract to image-forked
-// arenas: for every pooled configuration, a Fork(cfg) must be observably
-// identical to New(cfg) — pristine, after the same workload, and after
-// Reset (which on forks is an overlay drop, not a span scrub). This is the
-// differential proof that the copy-on-write shadow is indistinguishable
-// from the dense one.
-func TestForkMatchesFresh(t *testing.T) {
-	for _, cfg := range resetConfigs() {
-		cfg := cfg
-		name := fmt.Sprintf("%s/ref=%v/uar=%v", cfg.Kind, cfg.Reference, cfg.DetectUAR)
-		t.Run(name, func(t *testing.T) {
-			dense := New(cfg)
-			fork := Fork(cfg)
-			if !fork.Forked() || dense.Forked() {
-				t.Fatal("Forked() misclassifies the construction mode")
-			}
-			requireEnvEqual(t, dense, fork, "pristine fork vs fresh")
-			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
-				t.Fatalf("pristine fork resident: %d pages, %d bytes", pages, b)
-			}
-
-			// The identical workload must produce the identical outcome
-			// digest and leave identical shadows.
-			want := dirty(t, dense)
-			got := dirty(t, fork)
-			if want != got {
-				t.Fatalf("fork diverges from fresh env:\nfresh: %s\nfork:  %s", want, got)
-			}
-			requireEnvEqual(t, dense, fork, "after identical workloads")
-			pages, b := fork.OverlayStats()
-			if pages == 0 || b != pages*shadow.PageBytes {
-				t.Fatalf("overlay stats after workload: %d pages, %d bytes", pages, b)
-			}
-			// Residency is proportional to what was dirtied, not to the
-			// arena: the workload touches a few dozen KiB of a 256 KiB heap.
-			if total := int(cfg.Normalize().spaceBytes() >> shadow.SegShift); b >= total {
-				t.Fatalf("overlay resident %d bytes >= full dense shadow %d", b, total)
-			}
-
-			// Reset = overlay drop: byte-identical to a never-used fork and
-			// to a fresh dense env, with zero residual residency.
-			fork.Reset()
-			requireEnvEqual(t, New(cfg), fork, "after reset")
-			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
-				t.Fatalf("post-reset fork resident: %d pages, %d bytes", pages, b)
-			}
-			if got := *fork.San().Stats(); got != (san.Stats{}) {
-				t.Fatalf("post-reset stats not zeroed: %+v", got)
-			}
-
-			// Oracle ground truth cleared, as in the dense suite.
-			base, size := fork.Space().Base(), fork.Space().Size()
-			for off := uint64(0); off < size; off += 1 + off/97 {
-				if st := fork.Oracle().StateAt(base + off); st != oracle.Unallocated {
-					t.Fatalf("oracle state at +%d = %v after reset", off, st)
-				}
-			}
-
-			// And the recycled fork still behaves exactly like fresh.
-			if again := dirty(t, fork); again != want {
-				t.Fatalf("recycled fork diverges:\nfresh: %s\nfork:  %s", want, again)
-			}
-		})
-	}
-}
-
-// TestForkSiblingsAreIsolated pins the sharing boundary: two forks of the
-// same base image must not observe each other's writes, and the registry
-// serves one image per normalized config.
+// TestForkSiblingsAreIsolated pins the sharing boundary: two Envs of the
+// same config share one pristine shadow page and must not observe each
+// other's writes.
 func TestForkSiblingsAreIsolated(t *testing.T) {
 	cfg := Config{Kind: GiantSan, HeapBytes: 256 << 10, StackBytes: 64 << 10, WithOracle: true}
-	a, b := Fork(cfg), Fork(cfg)
+	a, b := New(cfg), New(cfg)
 	dirty(t, a)
 	requireEnvEqual(t, New(cfg), b, "sibling after a's workload")
 	if pages, bb := b.OverlayStats(); pages != 0 || bb != 0 {
 		t.Fatalf("sibling gained residency: %d pages, %d bytes", pages, bb)
-	}
-	if n := ImageRegistrySize(); n < 1 {
-		t.Fatalf("registry size %d after forks", n)
 	}
 }
 

@@ -7,6 +7,12 @@
 // the detection suites program against; GiantSan, ASan and ASan-- use the
 // generic Env implementation, while LFP (internal/lfp) provides its own
 // because its allocator is the metadata.
+//
+// There is one way to build an Env (New) and one way to recycle it
+// (Env.Reset). The shadow is a copy-on-write page table, so New writes no
+// shadow bytes at any arena size, and Reset costs time proportional to
+// what the previous run dirtied — the basis of the service layer's arena
+// pool.
 package rt
 
 import (
@@ -18,6 +24,7 @@ import (
 	"giantsan/internal/oracle"
 	"giantsan/internal/report"
 	"giantsan/internal/san"
+	"giantsan/internal/shadow"
 	"giantsan/internal/stack"
 	"giantsan/internal/vmem"
 )
@@ -117,7 +124,10 @@ func (cfg Config) Normalize() Config {
 	return cfg
 }
 
-// New builds a runtime per cfg.
+// New builds a runtime per cfg. Its shadow is a copy-on-write page table
+// (see internal/shadow): construction writes no shadow bytes, and the
+// resident shadow grows only with the pages the program dirties
+// (OverlayStats reports them).
 func New(cfg Config) *Env {
 	cfg = cfg.Normalize()
 	sp := vmem.NewSpace(cfg.spaceBytes())
@@ -133,14 +143,18 @@ func New(cfg Config) *Env {
 	return assemble(cfg, sp, s)
 }
 
+// Fork is New under a second name, kept only because the repository's
+// benchmark harness (perfbench/) calls it.
+func Fork(cfg Config) *Env { return New(cfg) }
+
 // spaceBytes is the total simulated-space size cfg implies. cfg must be
 // normalized.
 func (cfg Config) spaceBytes() uint64 {
 	return cfg.HeapBytes + cfg.StackBytes + cfg.GlobalBytes
 }
 
-// assemble wires a sanitizer into a complete Env — the shared tail of New
-// and Fork. cfg must be normalized and s must cover sp.
+// assemble wires a sanitizer into a complete Env. cfg must be normalized
+// and s must cover sp.
 func assemble(cfg Config, sp *vmem.Space, s san.Sanitizer) *Env {
 	var o *oracle.Oracle
 	if cfg.WithOracle {
@@ -185,14 +199,12 @@ func (e *Env) Config() Config { return e.cfg }
 
 // Reset returns the Env to the state a fresh New(cfg) produces, without
 // reallocating anything: the allocators forget their registries, the
-// touched application bytes are zeroed, the touched shadow returns to the
-// pristine unallocated image, Stats are zeroed, and the oracle (when
-// enabled) is cleared. The cost is proportional to the memory the
-// previous run actually dirtied — each region is scrubbed only up to its
-// bump frontier (the stack up to its high-water mark) — not to the arena
-// size, which is what makes pooling Envs cheaper than rebuilding them:
-// a fresh New must allocate and initialize the dense shadow for the whole
-// space every time.
+// touched application bytes are zeroed, the shadow drops its privatized
+// pages back to the pristine state, Stats are zeroed, and the oracle
+// (when enabled) is cleared. The cost is proportional to the memory the
+// previous run actually dirtied — each region is zeroed only up to its
+// bump frontier (the stack up to its high-water mark) and the shadow
+// visits only its dirty pages — not to the arena size.
 //
 // The differential reset suite (reset_test.go) enforces byte-for-byte
 // equivalence with a fresh Env for every sanitizer kind, so a pooled
@@ -202,27 +214,11 @@ func (e *Env) Reset() {
 	if !ok {
 		panic(fmt.Sprintf("rt: sanitizer %s does not support arena reset", e.san.Name()))
 	}
-	heapUsed := e.heap.Reset()
-	stackUsed := e.stack.Reinit()
-	globalUsed := uint64(e.globalBump - e.globalStart)
+	e.space.Zero(e.heapStart, e.heap.Reset())
+	e.space.Zero(e.stackStart, e.stack.Reinit())
+	e.space.Zero(e.globalStart, uint64(e.globalBump-e.globalStart))
 	e.globalBump = e.globalStart
-	// Forked envs return the whole shadow to the base image in one
-	// O(dirty pages) overlay drop; dense envs scrub shadow span-wise. The
-	// application bytes are zeroed up to the bump frontiers either way.
-	od, _ := e.san.(san.OverlayDropper)
-	dropped := od != nil && od.DropOverlay()
-	scrub := func(base vmem.Addr, n uint64) {
-		if n == 0 {
-			return
-		}
-		e.space.Zero(base, n)
-		if !dropped {
-			rs.ResetSpan(base, n)
-		}
-	}
-	scrub(e.heapStart, heapUsed)
-	scrub(e.stackStart, stackUsed)
-	scrub(e.globalStart, globalUsed)
+	rs.DropOverlay()
 	rs.ResetStats()
 	if e.oracle != nil {
 		e.oracle.Reset()
@@ -296,3 +292,30 @@ func (e *Env) Heap() *heap.Allocator { return e.heap }
 
 // Stack exposes the stack allocator for tests.
 func (e *Env) Stack() *stack.Stack { return e.stack }
+
+// shadowed is satisfied by the sanitizers that expose their shadow memory
+// (core and asan do; LFP has none).
+type shadowed interface {
+	Shadow() *shadow.Memory
+}
+
+// ShadowBytes returns the size of a flat shadow plane over the Env's
+// space — one byte per 8-byte segment. It is the ceiling OverlayStats is
+// measured against.
+func (e *Env) ShadowBytes() int {
+	if sh, ok := e.san.(shadowed); ok {
+		return sh.Shadow().NumSegments()
+	}
+	return 0
+}
+
+// OverlayStats reports the Env's resident shadow: privatized pages and
+// their bytes. Zero for a new Env and right after Reset — the "per-tenant
+// memory proportional to dirtied pages" number the shards bench artifact
+// records.
+func (e *Env) OverlayStats() (pages int, bytes int) {
+	if sh, ok := e.san.(shadowed); ok {
+		return sh.Shadow().OverlayStats()
+	}
+	return 0, 0
+}

@@ -126,31 +126,17 @@ type ReferencePath interface {
 // shadow implement it, which is what lets the service layer pool runtime
 // environments instead of rebuilding them per session.
 //
-// The contract is differential: after ResetSpan over every extent the
-// previous tenant dirtied plus ResetStats, the sanitizer must be
-// observably identical — shadow bytes and Stats — to a freshly built
-// instance over the same space. internal/rt's reset differential suite
-// enforces this for every sanitizer kind, so pooling can never leak one
-// tenant's poison into the next.
+// The contract is differential: after DropOverlay plus ResetStats, the
+// sanitizer must be observably identical — shadow bytes and Stats — to a
+// freshly built instance over the same space. internal/rt's reset
+// differential suite enforces this for every sanitizer kind, so pooling
+// can never leak one tenant's poison into the next.
 type Resetter interface {
-	// ResetSpan restores the initial ("never allocated") shadow image over
-	// [base, base+size). base and size are segment-aligned by the caller.
-	ResetSpan(base vmem.Addr, size uint64)
+	// DropOverlay returns the whole shadow to its initial ("never
+	// allocated") state in O(dirty pages).
+	DropOverlay()
 	// ResetStats zeroes the live counters.
 	ResetStats()
-}
-
-// OverlayDropper is the copy-on-write refinement of Resetter: sanitizers
-// whose shadow is an overlay fork of an immutable base image implement it.
-// DropOverlay returns the *entire* shadow to the pristine image in
-// O(dirty pages) — strictly stronger than span-wise ResetSpan and
-// independent of how much the tenant allocated — and reports false when
-// the shadow is densely backed (not forked), in which case the caller
-// falls back to ResetSpan over the dirtied extents. The same differential
-// contract as Resetter applies: after a successful drop plus ResetStats,
-// the sanitizer must be byte- and counter-identical to a fresh instance.
-type OverlayDropper interface {
-	DropOverlay() bool
 }
 
 // Sanitizer is a complete location-based (or, for LFP, bounds-based) memory

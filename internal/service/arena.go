@@ -8,18 +8,14 @@
 // horizontally as shards (see shards.go), each owning its own pool and
 // admission queue.
 //
-// The arena pool is the headline performance piece: a sanitizer runtime's
-// dominant allocation is its dense shadow array (one byte per 8-byte
-// segment over the whole simulated space), which rt.New builds and
-// initializes from scratch on every construction. The pool's arenas are
-// instead copy-on-write forks of a shared pre-poisoned base image
-// (rt.Fork): construction writes no shadow bytes, a tenant's resident
-// shadow is proportional to the pages it dirtied, and recycling through
-// rt.Env.Reset is an O(dirty pages) overlay drop. The fork and reset
-// differential suites in internal/rt are what make this safe: a forked or
-// recycled arena is byte-for-byte equivalent to a fresh one, so no shadow
-// poison, application bytes, counters or oracle state can leak between
-// tenants.
+// The arena pool recycles rt.Env runtimes. Each arena's shadow is a
+// copy-on-write page table (internal/shadow): construction writes no
+// shadow bytes, a tenant's resident shadow is proportional to the pages it
+// dirtied, and recycling through rt.Env.Reset drops those pages in
+// O(dirty pages). The reset differential suite in internal/rt is what
+// makes this safe: a recycled arena is byte-for-byte equivalent to a fresh
+// one, so no shadow poison, application bytes, counters or oracle state
+// can leak between tenants.
 package service
 
 import (
@@ -74,9 +70,9 @@ func NewArenaPool(perKey int) *ArenaPool {
 }
 
 // Get returns an arena for cfg and whether it was recycled (warm). A cold
-// get forks the shared base image for cfg — no shadow bytes are written,
-// so even the cold path is cheap and the arena's resident shadow stays
-// proportional to what the session dirties.
+// get builds one with rt.New, which writes no shadow bytes, so even the
+// cold path is cheap and the arena's resident shadow stays proportional
+// to what the session dirties.
 func (p *ArenaPool) Get(cfg rt.Config) (env *rt.Env, warm bool) {
 	cfg = cfg.Normalize() // match the key Put derives from env.Config()
 	p.mu.Lock()
@@ -95,7 +91,7 @@ func (p *ArenaPool) Get(cfg rt.Config) (env *rt.Env, warm bool) {
 	p.mu.Unlock()
 	// Build outside the lock: construction must not serialize concurrent
 	// cold sessions.
-	return rt.Fork(cfg), false
+	return rt.New(cfg), false
 }
 
 // Put resets env and shelves it for reuse. Arenas beyond the per-key bound

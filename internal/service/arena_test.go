@@ -87,14 +87,15 @@ func TestPoolShelvesAreDeleted(t *testing.T) {
 	}
 }
 
-// TestPoolArenasAreForked pins the cold path to rt.Fork: pool arenas are
-// copy-on-write forks whose residency returns to zero on recycle.
+// TestPoolArenasAreForked pins the pool's residency contract: a cold
+// arena starts with no resident shadow pages, a session dirties some, and
+// recycling returns the residency to zero.
 func TestPoolArenasAreForked(t *testing.T) {
 	pool := NewArenaPool(1)
 	cfg := poolCfg(256)
 	env, warm := pool.Get(cfg)
-	if warm || !env.Forked() {
-		t.Fatalf("cold Get: warm=%v forked=%v", warm, env.Forked())
+	if pages, bytes := env.OverlayStats(); warm || pages != 0 || bytes != 0 {
+		t.Fatalf("cold Get: warm=%v, %d pages, %d bytes resident", warm, pages, bytes)
 	}
 	useArena(t, env)
 	if pages, _ := env.OverlayStats(); pages == 0 {
@@ -103,10 +104,10 @@ func TestPoolArenasAreForked(t *testing.T) {
 	pool.Put(env)
 	recycled, warm := pool.Get(cfg)
 	if !warm || recycled != env {
-		t.Fatal("recycle did not return the shelved fork")
+		t.Fatal("recycle did not return the shelved arena")
 	}
 	if pages, bytes := recycled.OverlayStats(); pages != 0 || bytes != 0 {
-		t.Fatalf("recycled fork still resident: %d pages, %d bytes", pages, bytes)
+		t.Fatalf("recycled arena still resident: %d pages, %d bytes", pages, bytes)
 	}
 }
 

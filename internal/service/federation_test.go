@@ -478,3 +478,51 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestFederationScrapeBodyBounded: a backend whose /metrics body exceeds
+// maxScrapeBytes is read only up to the cap, contributes nothing to the
+// federated view, and counts as a scrape failure — while a well-behaved
+// sibling's samples still come through.
+func TestFederationScrapeBodyBounded(t *testing.T) {
+	var served atomic.Int64
+	huge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			w.WriteHeader(http.StatusOK)
+		case "/metrics":
+			// A valid exposition prefix, then padding past the cap: stream
+			// lines until the reader stops taking them.
+			line := []byte("gsan_sessions_completed_total 1\n")
+			for served.Load() <= 2*maxScrapeBytes {
+				n, err := w.Write(line)
+				served.Add(int64(n))
+				if err != nil {
+					return
+				}
+			}
+		}
+	}))
+	t.Cleanup(huge.Close)
+	good := startFedBackend(t, testShardConfig(), 1)
+	rb, err := NewRemoteBackend(testFedConfig(
+		BackendMember{Name: "huge", URL: huge.URL},
+		BackendMember{Name: "good", URL: good.srv.URL},
+	))
+	if err != nil {
+		t.Fatalf("NewRemoteBackend: %v", err)
+	}
+	t.Cleanup(rb.Close)
+
+	var sb strings.Builder
+	rb.WriteMetrics(&sb)
+	text := sb.String()
+	if failed, _ := metricValues(t, text, "gsan_proxy_scrape_failures_total"); failed != 1 {
+		t.Fatalf("scrape failures = %d, want 1 for the oversize backend\n%s", failed, text)
+	}
+	if _, n := metricValues(t, text, "gsan_backend_sessions_completed_total"); n != 1 {
+		t.Fatalf("gsan_backend_sessions_completed_total has %d samples, want only the good backend's\n%s", n, text)
+	}
+	if got, _ := metricValues(t, text, "gsan_sessions_completed_total"); got != 0 {
+		t.Fatalf("oversize backend leaked %d completed sessions into the aggregate", got)
+	}
+}

@@ -89,7 +89,13 @@ func parseProm(text string, fams map[string]*promFamily, order *[]string) error 
 	return sc.Err()
 }
 
-// scrape fetches one backend's /metrics.
+// maxScrapeBytes caps one backend's /metrics body. A real exposition is a
+// few KiB; the cap keeps a misbehaving or hostile backend from making the
+// front-end buffer an unbounded response on every federated scrape.
+const maxScrapeBytes = 4 << 20
+
+// scrape fetches one backend's /metrics, failing when the body exceeds
+// maxScrapeBytes.
 func (rb *RemoteBackend) scrape(m *remoteMember) (string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rb.cfg.HealthTimeout)
 	defer cancel()
@@ -106,8 +112,14 @@ func (rb *RemoteBackend) scrape(m *remoteMember) (string, error) {
 		io.Copy(io.Discard, resp.Body)
 		return "", fmt.Errorf("backend %s /metrics answered %d", m.name, resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
-	return string(body), err
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBytes+1))
+	if err != nil {
+		return "", err
+	}
+	if len(body) > maxScrapeBytes {
+		return "", fmt.Errorf("backend %s /metrics body exceeds %d bytes", m.name, maxScrapeBytes)
+	}
+	return string(body), nil
 }
 
 // backendScalar extracts the label-less gsan_* families from one

@@ -8,7 +8,7 @@ import (
 // each with its own worker pool, admission queue and arena pool — and
 // routes every session to one of them by consistent hash of its tenant
 // key. Shards share nothing mutable (the only cross-shard sharing is the
-// immutable shadow base-image registry in internal/rt), so there is no
+// immutable pristine shadow pages in internal/shadow), so there is no
 // cross-shard lock to contend on and a panicking or saturated tenant
 // population degrades only the shard it hashes to.
 //

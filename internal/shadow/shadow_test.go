@@ -9,7 +9,7 @@ import (
 
 func TestGeometry(t *testing.T) {
 	sp := vmem.NewSpace(1 << 12)
-	m := New(sp)
+	m := New(sp, 0)
 	if m.NumSegments() != 512 {
 		t.Errorf("NumSegments = %d, want 512", m.NumSegments())
 	}
@@ -20,7 +20,7 @@ func TestGeometry(t *testing.T) {
 
 func TestIndexMapping(t *testing.T) {
 	sp := vmem.NewSpace(1 << 12)
-	m := New(sp)
+	m := New(sp, 0)
 	for _, tt := range []struct {
 		off  uint64
 		want int
@@ -33,7 +33,7 @@ func TestIndexMapping(t *testing.T) {
 
 func TestIndexOutOfRangePanics(t *testing.T) {
 	sp := vmem.NewSpace(64)
-	m := New(sp)
+	m := New(sp, 0)
 	for _, a := range []vmem.Addr{sp.Base() - 1, sp.Limit()} {
 		func() {
 			defer func() {
@@ -48,7 +48,7 @@ func TestIndexOutOfRangePanics(t *testing.T) {
 
 func TestLoadStore(t *testing.T) {
 	sp := vmem.NewSpace(128)
-	m := New(sp)
+	m := New(sp, 0)
 	a := sp.Base() + 24
 	m.Store(a, 0x42)
 	if got := m.Load(a); got != 0x42 {
@@ -67,7 +67,7 @@ func TestLoadStore(t *testing.T) {
 
 func TestFillAndSnapshot(t *testing.T) {
 	sp := vmem.NewSpace(128)
-	m := New(sp)
+	m := New(sp, 0)
 	m.Fill(2, 5, 7)
 	snap := m.Snapshot(1, 8)
 	want := []uint8{0, 7, 7, 7, 7, 7, 0, 0}
@@ -86,7 +86,7 @@ func TestFill64MatchesFill(t *testing.T) {
 	sp := vmem.NewSpace(1 << 10)
 	for p := 0; p < 16; p++ {
 		for n := 0; n <= 40; n++ {
-			a, b := New(sp), New(sp)
+			a, b := New(sp, 0), New(sp, 0)
 			a.Fill(0, a.NumSegments(), 0x11)
 			b.Fill64(0, b.NumSegments(), 0x11)
 			a.Fill(p, n, 0x2a)
@@ -103,7 +103,7 @@ func TestFill64MatchesFill(t *testing.T) {
 
 func TestStoreWideLoadWideRoundTrip(t *testing.T) {
 	sp := vmem.NewSpace(256)
-	m := New(sp)
+	m := New(sp, 0)
 	const w = uint64(0x0807060504030201)
 	m.StoreWide(3, w)
 	if got := m.LoadWide(3); got != w {
@@ -119,7 +119,7 @@ func TestStoreWideLoadWideRoundTrip(t *testing.T) {
 
 func TestCopySeg(t *testing.T) {
 	sp := vmem.NewSpace(256)
-	m := New(sp)
+	m := New(sp, 0)
 	tpl := []uint8{9, 8, 7, 6, 5}
 	m.CopySeg(4, tpl)
 	snap := m.Snapshot(3, 7)
@@ -137,7 +137,7 @@ func TestCopySeg(t *testing.T) {
 // otherwise simply not run).
 func TestBulkWriterSpanAssertions(t *testing.T) {
 	sp := vmem.NewSpace(256)
-	m := New(sp)
+	m := New(sp, 0)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -170,7 +170,7 @@ func TestBulkAssertionsGatedByDebug(t *testing.T) {
 	defer func(d bool) { Debug = d }(Debug)
 	Debug = false
 	sp := vmem.NewSpace(256)
-	m := New(sp)
+	m := New(sp, 0)
 	m.Fill(4, -1, 7)   // must not panic
 	m.Fill64(4, -3, 7) // must not panic
 	for i := 0; i < m.NumSegments(); i++ {
@@ -186,68 +186,11 @@ func TestBulkAssertionsGatedByDebug(t *testing.T) {
 
 func TestSegStart(t *testing.T) {
 	sp := vmem.NewSpace(128)
-	m := New(sp)
+	m := New(sp, 0)
 	if got := m.SegStart(3); got != sp.Base()+24 {
 		t.Errorf("SegStart(3) = %#x, want %#x", got, sp.Base()+24)
 	}
 	if m.Index(m.SegStart(15)) != 15 {
 		t.Error("SegStart and Index do not round-trip")
-	}
-}
-
-// ReimageSpan must restore exactly the segments covering the span —
-// including a partially-covered tail segment — and nothing beyond.
-func TestReimageSpan(t *testing.T) {
-	sp := vmem.NewSpace(1 << 12)
-	m := New(sp)
-	for _, size := range []uint64{0, 1, 7, 8, 9, 64, 100, 4096} {
-		m.Fill(0, m.NumSegments(), 0xAB) // dirty everything
-		m.ReimageSpan(sp.Base(), size, 0x07)
-		covered := int((size + SegSize - 1) >> SegShift)
-		for i := 0; i < m.NumSegments(); i++ {
-			want := uint8(0xAB)
-			if i < covered {
-				want = 0x07
-			}
-			if got := m.Load(sp.Base() + vmem.Addr(i)*SegSize); got != want {
-				t.Fatalf("size %d: segment %d = %#x, want %#x", size, i, got, want)
-			}
-		}
-	}
-}
-
-// TestReimageSpanUnaligned is the regression test for the unaligned-start
-// bug: deriving the segment count from size alone under-counts whenever the
-// start offset plus the size tail spills into an extra segment (e.g. a%8=4,
-// size=8 covers two segments, not one), leaving the last overlapping
-// segment with stale codes. The count must come from the end segment.
-func TestReimageSpanUnaligned(t *testing.T) {
-	sp := vmem.NewSpace(1 << 12)
-	m := New(sp)
-	for _, tt := range []struct {
-		off, size uint64
-	}{
-		{4, 8},  // the ISSUE example: straddles segments 0 and 1
-		{1, 1},  // sub-segment span
-		{7, 2},  // crosses exactly one boundary
-		{4, 12}, // off%8 + size%8 == 8: still spills (ends mid-segment 1)
-		{3, 64}, // aligned size, unaligned start
-		{5, 99}, // nothing aligned
-	} {
-		m.Fill(0, m.NumSegments(), 0xAB)
-		a := sp.Base() + vmem.Addr(tt.off)
-		m.ReimageSpan(a, tt.size, 0x07)
-		first := int(tt.off >> SegShift)
-		last := int((tt.off + tt.size - 1) >> SegShift)
-		for i := 0; i < m.NumSegments(); i++ {
-			want := uint8(0xAB)
-			if i >= first && i <= last {
-				want = 0x07
-			}
-			if got := m.LoadSeg(i); got != want {
-				t.Fatalf("off %d size %d: segment %d = %#x, want %#x",
-					tt.off, tt.size, i, got, want)
-			}
-		}
 	}
 }

@@ -41,7 +41,8 @@ func TestPushLocalsMatchesAllocaLoop(t *testing.T) {
 					sizes, i, bases[i]-spA.Base(), want[i]-spB.Base())
 			}
 		}
-		ra, rb := gA.Shadow().Raw(), gB.Shadow().Raw()
+		ra := gA.Shadow().Snapshot(0, gA.Shadow().NumSegments())
+		rb := gB.Shadow().Snapshot(0, gB.Shadow().NumSegments())
 		for i := range ra {
 			if ra[i] != rb[i] {
 				t.Fatalf("frame %v: shadow diverged at segment %d: batched=%d looped=%d",

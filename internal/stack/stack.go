@@ -247,8 +247,8 @@ func (s *Stack) HighWater() vmem.Addr { return s.high }
 
 // Reinit returns the stack to its just-constructed state and reports the
 // arena footprint it releases ([start, HighWater)). Unlike Reset it does
-// not poison anything: the caller (rt.Env.Reset) restores the shadow over
-// the released extent to the pristine unallocated image, erasing redzones
+// not poison anything: the caller (rt.Env.Reset) returns the whole shadow
+// to the pristine unallocated state, erasing redzones
 // and after-return codes alike so a recycled arena is indistinguishable
 // from a fresh one.
 func (s *Stack) Reinit() uint64 {

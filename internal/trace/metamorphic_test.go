@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"hash/fnv"
 	"strconv"
 	"testing"
 
@@ -30,9 +29,7 @@ func shadowDigest(env rt.Runtime) string {
 	if !ok {
 		return ""
 	}
-	h := fnv.New64a()
-	h.Write(sh.Shadow().Raw())
-	return strconv.FormatUint(h.Sum64(), 16)
+	return strconv.FormatUint(sh.Shadow().Digest(), 16)
 }
 
 // metamorphicKernels is a spread of allocation/access behaviours: pointer
