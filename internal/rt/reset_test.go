@@ -202,6 +202,44 @@ func requireEnvEqual(t *testing.T, want, got *Env, context string) {
 	}
 }
 
+// TestForkMatchesFresh pins the Fork entry point the benchmark harness
+// uses: for every pooled configuration, Fork(cfg) must be observably
+// identical to New(cfg) — pristine, after the same workload, and after
+// Reset.
+func TestForkMatchesFresh(t *testing.T) {
+	for _, cfg := range resetConfigs() {
+		cfg := cfg
+		name := fmt.Sprintf("%s/ref=%v/uar=%v", cfg.Kind, cfg.Reference, cfg.DetectUAR)
+		t.Run(name, func(t *testing.T) {
+			fresh := New(cfg)
+			fork := Fork(cfg)
+			requireEnvEqual(t, fresh, fork, "pristine fork vs fresh")
+			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
+				t.Fatalf("pristine fork resident: %d pages, %d bytes", pages, b)
+			}
+
+			want := dirty(t, fresh)
+			got := dirty(t, fork)
+			if want != got {
+				t.Fatalf("fork diverges from fresh env:\nfresh: %s\nfork:  %s", want, got)
+			}
+			requireEnvEqual(t, fresh, fork, "after identical workloads")
+
+			fork.Reset()
+			requireEnvEqual(t, New(cfg), fork, "after reset")
+			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
+				t.Fatalf("post-reset fork resident: %d pages, %d bytes", pages, b)
+			}
+			if got := *fork.San().Stats(); got != (san.Stats{}) {
+				t.Fatalf("post-reset stats not zeroed: %+v", got)
+			}
+			if again := dirty(t, fork); again != want {
+				t.Fatalf("recycled fork diverges:\nfresh: %s\nfork:  %s", want, again)
+			}
+		})
+	}
+}
+
 // TestForkSiblingsAreIsolated pins the sharing boundary: two Envs of the
 // same config share one pristine shadow page and must not observe each
 // other's writes.
